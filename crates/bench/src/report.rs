@@ -5,8 +5,7 @@
 //! (scalar metrics, the same tables the binary prints), and how fast the
 //! simulator went (wall time, events processed, events/sec, sim-time to
 //! wall-time ratio). The format is versioned ([`SCHEMA`]) and checked by
-//! [`validate`], which CI runs against freshly produced reports — this is
-//! the perf trajectory the `BENCH_*.json` files track across PRs.
+//! [`validate`], which CI runs against freshly produced reports.
 //!
 //! Shape of a report (all five top-level sections are required):
 //!
@@ -26,7 +25,7 @@
 //! v2 adds the optional `profile.percentiles` section — tail percentiles
 //! of every histogram snapshot into the report (the sweep explorer's
 //! per-point pages surface them). [`validate`] accepts both versions, so
-//! tracked v1 artifacts (`BENCH_*.json`) stay valid.
+//! v1 reports written by older builds stay valid.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -43,7 +42,7 @@ use crate::table::Table;
 pub const SCHEMA: &str = "mptcp-run-report/v2";
 
 /// The previous run-report version, still accepted by [`validate`] so
-/// tracked baselines (e.g. `BENCH_eventloop.json`) keep validating.
+/// v1 reports from older builds (outside input) keep validating.
 pub const SCHEMA_V1: &str = "mptcp-run-report/v1";
 
 /// Version tag of the cross-seed sweep reports `orchestra` emits (see

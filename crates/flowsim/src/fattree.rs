@@ -347,11 +347,35 @@ pub fn heavytail_churn(
 ) -> ChurnResult {
     let mut net = FlowNet::new();
     let ft = FlowFatTree::build(&mut net, p.k, ftcfg);
-    let hosts = ft.num_hosts();
-    assert!(hosts >= 2, "need at least two hosts");
     let mut sim = FlowSim::new(net, simcfg);
     let (tracer, sink) = Tracer::to_sink(DigestSink::new());
     sim.set_tracer(tracer);
+    let planned_churn = install_heavytail_churn(&mut sim, &ft, p);
+
+    sim.run_until(SimTime::ZERO + p.horizon);
+    let s = sink.borrow();
+    ChurnResult {
+        resident: p.resident,
+        planned_churn,
+        started: sim.started_flows(),
+        completed: sim.completed_flows(),
+        peak_active: sim.peak_active(),
+        events: sim.events_processed(),
+        recomputes: sim.recomputes(),
+        digest: s.digest(),
+        trace_events: s.events(),
+    }
+}
+
+/// Install [`heavytail_churn`]'s workload on `ft` inside `sim` without
+/// running it: the resident permutations, then the churn overlay, from
+/// one RNG stream seeded by `p.seed`. Returns the number of churn flows
+/// planned (the resident count is always `p.resident`). Split out so
+/// callers can measure the install step on its own (bytes per flow) and
+/// still get exactly the run `heavytail_churn` would.
+pub fn install_heavytail_churn(sim: &mut FlowSim, ft: &FlowFatTree, p: &ChurnParams) -> usize {
+    let hosts = ft.num_hosts();
+    assert!(hosts >= 2, "need at least two hosts");
     let mut rng = SimRng::seed_from_u64(p.seed ^ 0x5CA1E);
 
     // Resident population: repeated random permutations until the target,
@@ -364,16 +388,7 @@ pub fn heavytail_churn(
             if resident >= p.resident {
                 break;
             }
-            let f = ft.connect(
-                &mut sim,
-                h,
-                dst,
-                p.algorithm,
-                p.subflows,
-                None,
-                &mut rng,
-                conn,
-            );
+            let f = ft.connect(sim, h, dst, p.algorithm, p.subflows, None, &mut rng, conn);
             let jitter = SimDuration::from_secs_f64(rng.f64());
             sim.start_at(f, SimTime::ZERO + jitter);
             conn += 1;
@@ -395,7 +410,7 @@ pub fn heavytail_churn(
     );
     for spec in &plan {
         let f = ft.connect(
-            &mut sim,
+            sim,
             spec.src,
             spec.dst,
             p.algorithm,
@@ -407,20 +422,7 @@ pub fn heavytail_churn(
         sim.start_at(f, SimTime::ZERO + SimDuration::from_secs_f64(spec.start_s));
         conn += 1;
     }
-
-    sim.run_until(SimTime::ZERO + p.horizon);
-    let s = sink.borrow();
-    ChurnResult {
-        resident,
-        planned_churn: plan.len(),
-        started: sim.started_flows(),
-        completed: sim.completed_flows(),
-        peak_active: sim.peak_active(),
-        events: sim.events_processed(),
-        recomputes: sim.recomputes(),
-        digest: s.digest(),
-        trace_events: s.events(),
-    }
+    plan.len()
 }
 
 #[cfg(test)]

@@ -268,10 +268,11 @@ impl Simulation {
     /// correctness.
     pub fn preallocate(&mut self) {
         let endpoints = self.endpoints.len();
-        // Right-sized from measurement (see BENCH_scale.json): the event
-        // heap and packet arena grow to workload-dependent peaks during the
-        // run regardless of what is reserved here, so big speculative
-        // reserves only bloat setup memory — at k=16 the old
+        // Right-sized from measurement (k=16 bytes/connection, gated by
+        // `perf_check`): the event heap and packet arena grow to
+        // workload-dependent peaks during the run regardless of what is
+        // reserved here, so big speculative reserves only bloat setup
+        // memory — at k=16 the old
         // `endpoints*8 + queues*2` heuristic charged ~6 KB per connection
         // before the first packet moved, and its non-power-of-two base made
         // the heap's later growth doublings land ~1.8× past the actual
