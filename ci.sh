@@ -41,7 +41,7 @@ fi
 rm -f "$test_log" "$test_log.failed" "$test_log.known"
 
 cargo fmt --check
-cargo clippy --offline --all-targets -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Static-analysis gate: the workspace must lint clean under simlint
 # (R1–R11 plus the A1–A3 suppression audit, see DESIGN.md "Static analysis
@@ -116,8 +116,9 @@ rm -rf results/chaos/ci-gate
 ./target/release/validate_report --strict results/chaos/ci-gate
 
 # Perf gate: timing-free, so machine-independent. perf_check recomputes the
-# pinned trace digests of five perf recipes (Scenario B, k=4 FatTree, path
-# flap, k=16 FatTree permutation, flow-engine churn) byte for byte, and
+# pinned trace digests of eight perf recipes (Scenario B, k=4 FatTree, path
+# flap, k=16 FatTree permutation, flow-engine churn, and the flow engine's
+# exact-validation k=8 permutation for OLIA, LIA and Reno) byte for byte, and
 # holds the install-step bytes per connection (k=16) and per flow (churn)
 # within 1.25x of their recorded values. Goldens are constants in the
 # binary; wall-clock performance is the perfbench benchmark's job.

@@ -3,7 +3,7 @@
 //!
 //! Two kinds of checks, both machine-independent:
 //!
-//! * **Trace digests.** Five pinned-seed recipes run with their full JSONL
+//! * **Trace digests.** Eight pinned-seed recipes run with their full JSONL
 //!   trace folded into an FNV-1a digest (`trace::DigestSink`). Each must
 //!   match its golden byte for byte, so an "optimization" that changes
 //!   behaviour fails here:
@@ -13,7 +13,12 @@
 //!     times (RTO/backoff, path-manager and re-probe machinery);
 //!   * `k16_perm` — a k = 16 FatTree (1024 hosts) permutation, OLIA ×4;
 //!   * `flow_check` — the flow engine's heavy-tailed churn at k = 8,
-//!     2 000 resident OLIA ×2 flows plus Poisson arrivals.
+//!     2 000 resident OLIA ×2 flows plus Poisson arrivals;
+//!   * `flow_olia`, `flow_lia`, `flow_reno` — the flow engine's exact
+//!     validation path: a k = 8 permutation (OLIA ×4, LIA ×4, Reno ×1)
+//!     with 50 sweeps per recompute, a recompute on every state change and
+//!     a `Cwnd` event per subflow per recompute, so every allocated rate is
+//!     hashed bit for bit.
 //! * **Memory budgets.** A live-bytes counting allocator snapshots the
 //!   heap around the connection-install step of `k16_perm` (bytes per
 //!   connection) and of `flow_check` (bytes per flow). Each must stay
@@ -30,7 +35,9 @@ use std::sync::atomic::{AtomicI64, Ordering};
 
 use bench::fattree::dc_config;
 use eventsim::{SimDuration, SimRng, SimTime};
-use flowsim::fattree::{heavytail_churn, install_heavytail_churn, ChurnParams, FlowFatTree};
+use flowsim::fattree::{
+    heavytail_churn, install_heavytail_churn, permutation, ChurnParams, FlowFatTree,
+};
 use flowsim::{FlowFatTreeConfig, FlowNet, FlowSim, FlowSimConfig};
 use mpsim_core::Algorithm;
 use netsim::{route, FaultPlan, QueueConfig, QueueId, Simulation};
@@ -96,6 +103,15 @@ const PACKET_DIGESTS: &[(&str, Recipe, &str)] = &[
 
 /// Golden trace digest of [`FLOW_CHECK`].
 const FLOW_CHECK_DIGEST: &str = "7fd33a38d2d8706f";
+
+/// The flow-engine exact-validation recipes (`flowsim::fattree::permutation`
+/// at k = 8 for 3 simulated seconds, seed 1, default fabric and
+/// `FlowSimConfig::default()`): algorithm, subflows and golden trace digest.
+const FLOW_PERM_DIGESTS: &[(&str, Algorithm, usize, &str)] = &[
+    ("flow_olia", Algorithm::Olia, 4, "744e13e9d99cbcd7"),
+    ("flow_lia", Algorithm::Lia, 4, "39d2e5f25b9ddebb"),
+    ("flow_reno", Algorithm::Reno, 1, "61b8b4b54ab2ffee"),
+];
 
 /// The flow-engine churn recipe, run with `FlowSimConfig::large_scale()`
 /// on the default flow FatTree.
@@ -299,6 +315,18 @@ fn main() {
         FlowSimConfig::large_scale(),
     );
     ok &= digest_ok("flow_check", flow.digest, FLOW_CHECK_DIGEST);
+    for &(name, algorithm, subflows, golden) in FLOW_PERM_DIGESTS {
+        let perm = permutation(
+            8,
+            algorithm,
+            subflows,
+            SimDuration::from_secs(3),
+            1,
+            &FlowFatTreeConfig::default(),
+            FlowSimConfig::default(),
+        );
+        ok &= digest_ok(name, perm.digest, golden);
+    }
     if !ok {
         std::process::exit(1);
     }

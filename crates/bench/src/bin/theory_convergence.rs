@@ -44,7 +44,7 @@ fn network() -> FluidNetwork {
 
 /// Integrate and return (time for the utility V to stay within 1% of its
 /// final value, V monotone?, final V).
-fn converge(alg: FluidAlgorithm, x0: &Vec<Vec<f64>>) -> (f64, bool, f64) {
+fn converge(alg: FluidAlgorithm, x0: &[Vec<f64>]) -> (f64, bool, f64) {
     let net = network();
     let dt = 1e-3;
     let chunk_steps = 2_000; // 2 s of fluid time per sample
@@ -54,7 +54,7 @@ fn converge(alg: FluidAlgorithm, x0: &Vec<Vec<f64>>) -> (f64, bool, f64) {
         steps: chunk_steps,
         ..FluidParams::default()
     };
-    let mut x = x0.clone();
+    let mut x = x0.to_vec();
     let mut trajectory = vec![x.clone()];
     let mut vs = vec![utility_v(&net, &x)];
     for _ in 0..chunks {

@@ -103,8 +103,10 @@ mod tests {
     #[test]
     fn violating_campaign_report_validates() {
         use eventsim::SimDuration;
-        let mut tcp = tcpsim::TcpConfig::default();
-        tcp.reprobe_max = SimDuration::from_secs(16);
+        let tcp = tcpsim::TcpConfig {
+            reprobe_max: SimDuration::from_secs(16),
+            ..tcpsim::TcpConfig::default()
+        };
         let cfg = CampaignCfg {
             seed: 1,
             iterations: 100,

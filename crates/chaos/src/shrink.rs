@@ -140,9 +140,10 @@ mod tests {
     }
 
     fn buggy_tcp() -> TcpConfig {
-        let mut tcp = TcpConfig::default();
-        tcp.reprobe_max = SimDuration::from_secs(16);
-        tcp
+        TcpConfig {
+            reprobe_max: SimDuration::from_secs(16),
+            ..TcpConfig::default()
+        }
     }
 
     #[test]

@@ -365,8 +365,8 @@ mod tests {
                 .map(|i| PathView { established: dead[i] == 0, ..p(ws[i], ells[i]) })
                 .collect();
             let a = alpha_values(&paths);
-            for i in 0..n {
-                prop_assert_eq!(a[i], alpha_for(&paths, i));
+            for (i, &ai) in a.iter().enumerate() {
+                prop_assert_eq!(ai, alpha_for(&paths, i));
             }
         }
 

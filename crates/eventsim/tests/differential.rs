@@ -27,6 +27,9 @@ enum Op {
     Pop,
 }
 
+/// One side's dispatch as `(time ns, id)`, `None` once drained.
+type Popped = Option<(u64, u64)>;
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0u64..50).prop_map(Op::Schedule),
@@ -74,9 +77,9 @@ proptest! {
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
         let mut next_id = 0u64;
-        let mut drive = |q: &mut EventQueue<u64>,
-                         heap: &mut BinaryHeap<Reverse<(u64, u64, u64)>>|
-         -> (Option<(u64, u64)>, Option<(u64, u64)>) {
+        let drive = |q: &mut EventQueue<u64>,
+                     heap: &mut BinaryHeap<Reverse<(u64, u64, u64)>>|
+         -> (Popped, Popped) {
             (
                 q.pop().map(|(t, id)| (t.as_nanos(), id)),
                 heap.pop().map(|Reverse((t, seq, id))| {

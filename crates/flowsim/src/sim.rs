@@ -95,33 +95,6 @@ impl FlowSlot {
     pub(crate) fn path_links(&self, r: usize) -> &[u32] {
         &self.links[self.path_off[r] as usize..self.path_off[r + 1] as usize]
     }
-
-    #[cfg(test)]
-    pub(crate) fn for_test(paths: &[&[u32]], rtt: f64, rule: RateRule) -> FlowSlot {
-        let mut links = Vec::new();
-        let mut off = vec![0u32];
-        for p in paths {
-            links.extend_from_slice(p);
-            off.push(links.len() as u32);
-        }
-        let n = paths.len();
-        FlowSlot {
-            conn: 0,
-            rule,
-            links: links.into_boxed_slice(),
-            path_off: off.into_boxed_slice(),
-            rtts: vec![rtt; n].into_boxed_slice(),
-            rates: vec![0.0; n].into_boxed_slice(),
-            goodput: 0.0,
-            size: f64::INFINITY,
-            remaining: f64::INFINITY,
-            delivered: 0.0,
-            accrued_at: SimTime::ZERO,
-            active: false,
-            gen: 0,
-            active_pos: 0,
-        }
-    }
 }
 
 /// Scheduled state changes (completions live in their own heap).
